@@ -52,6 +52,11 @@ class EmptyClusterError(ValidationError):
     pass
 
 
+class InvalidDesignError(ValidationError, ValueError):
+    """Invalid design specification: unknown kind, a probability outside
+    [0, 1], a treated count outside [0, n]."""
+
+
 class SupportTooLargeError(BudgetError):
     pass
 

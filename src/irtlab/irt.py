@@ -7,6 +7,19 @@ fresh assignment per iteration and averages the extreme-statistic
 indicators; ``irt_pvalue_nested`` averages inner Monte Carlo estimates over
 outer imputations instead. ``exact_frt_pvalue`` sums exact design
 probabilities over the enumerated support.
+
+Every path evaluates the statistic with ``batch_diff_in_means``, whose row
+values do not depend on the batch, so the observed statistic ties exactly
+with any support row or draw that has the same focal groups.
+
+Cost model of the exact path: it streams the support in blocks of stacked
+assignments (``Design.support_blocks``). Per block it runs the exposure
+map and the statistic once, vectorized, and tallies extreme and defined
+rows per probability class with ``np.bincount``. Fraction work is one
+multiply per probability class, never per assignment, and memory is
+O(chunk * n), with chunk = ``designs.BLOCK_CELLS // n`` rows per block,
+plus one probability reference per class, whatever the support size up
+to the cap.
 """
 
 from __future__ import annotations
@@ -30,16 +43,6 @@ from .teststat import (
 )
 
 RESAMPLE_BUDGET_FACTOR = 100
-
-
-def _observed_statistic(exposures, theta, a, b):
-    """Observed statistic via the same vectorized path used for the Monte
-    Carlo draws, so exact ties survive floating-point evaluation. Returns
-    None when undefined."""
-    t = batch_diff_in_means(
-        np.asarray(exposures)[None, :], np.asarray(theta, dtype=float), a, b
-    )[0]
-    return None if np.isnan(t) else float(t)
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,7 @@ def frt_pvalue_mc(
     seed = rng if not isinstance(rng, np.random.Generator) else None
     rng = as_rng(rng)
     theta = np.asarray(theta, dtype=float)
-    t_obs = _observed_statistic(exposure_map(z_obs), theta, a, b)
+    t_obs = diff_in_means(exposure_map(z_obs), theta, a, b)
     if t_obs is None:
         raise UndefinedObservedStatisticError(
             "statistic undefined at the observed assignment"
@@ -149,7 +152,7 @@ def irt_pvalue(
     rng = as_rng(rng)
     imputer.fit(partial.observed_values())
     e_obs = exposure_map(z_obs)
-    t_obs = _observed_statistic(e_obs, partial.values, a, b)
+    t_obs = diff_in_means(e_obs, partial.values, a, b)
     if t_obs is None:
         raise UndefinedObservedStatisticError(
             "observed focal groups must both be non-empty"
@@ -195,7 +198,7 @@ def irt_pvalue_nested(
     rng = as_rng(rng)
     imputer.fit(partial.observed_values())
     e_obs = exposure_map(z_obs)
-    t_obs = _observed_statistic(e_obs, partial.values, a, b)
+    t_obs = diff_in_means(e_obs, partial.values, a, b)
     if t_obs is None:
         raise UndefinedObservedStatisticError(
             "observed focal groups must both be non-empty"
@@ -233,7 +236,9 @@ def exact_frt_pvalue_fraction(
 
     Assignments with an undefined statistic are excluded and the remaining
     probability mass renormalized (policy "renormalize"), or counted as
-    extreme (policy "extreme", the conservative direction).
+    extreme (policy "extreme", the conservative direction). The support is
+    evaluated one block of ``Design.support_blocks`` at a time; the result
+    does not depend on the block size.
     """
     _check_contrast(exposure_map, a, b)
     theta = np.asarray(theta, dtype=float)
@@ -243,24 +248,30 @@ def exact_frt_pvalue_fraction(
             "statistic undefined at the observed assignment"
         )
     kwargs = {} if cap is None else {"cap": cap}
-    mass_extreme = Fraction(0)
-    mass_defined = Fraction(0)
-    mass_undefined = Fraction(0)
-    for z, prob in design.enumerate_support(**kwargs):
-        t = diff_in_means(exposure_map(z), theta, a, b)
-        if t is None:
-            mass_undefined += prob
-            continue
-        mass_defined += prob
-        if t >= t_obs:
-            mass_extreme += prob
+    probs, blocks = design.support_blocks(**kwargs)
+    n_classes = len(probs)
+    rows = np.zeros(n_classes, dtype=np.int64)
+    defined = np.zeros(n_classes, dtype=np.int64)
+    extreme = np.zeros(n_classes, dtype=np.int64)
+    for Z, cls in blocks:
+        t = batch_diff_in_means(exposure_map.batch(Z), theta, a, b)
+        rows += np.bincount(cls, minlength=n_classes)
+        defined += np.bincount(cls[~np.isnan(t)], minlength=n_classes)
+        extreme += np.bincount(cls[t >= t_obs], minlength=n_classes)
+
+    def mass(counts):
+        return sum(
+            (p * c for p, c in zip(probs, counts.tolist()) if c), Fraction(0)
+        )
+
     if undefined == "extreme":
-        return mass_extreme + mass_undefined
+        return mass(extreme) + mass(rows - defined)
+    mass_defined = mass(defined)
     if mass_defined == 0:
         raise UndefinedObservedStatisticError(
             "statistic undefined on the whole support"
         )
-    return mass_extreme / mass_defined
+    return mass(extreme) / mass_defined
 
 
 def exact_frt_pvalue(

@@ -119,13 +119,13 @@ def _check_binary_assignment(net: InterferenceNetwork, z) -> np.ndarray:
         raise LengthMismatchError(
             f"assignment length {len(z)} != unit count {net.n}"
         )
-    if not np.isin(z, (0, 1)).all():
+    if not ((z == 0) | (z == 1)).all():
         raise NonBinaryAssignmentError("assignment entries must be 0 or 1")
-    return z.astype(np.int64)
+    return z
 
 
 class ThreeLevelExposure:
-    """Exposure map with labels {0, 1, 2}.
+    """Exposure map with labels {0, 1, 2}, returned as int8 codes.
 
     2: unit treated; 1: unit in control with at least one treated neighbor;
     0: unit and all its neighbors in control.
@@ -135,17 +135,24 @@ class ThreeLevelExposure:
 
     def __init__(self, network: InterferenceNetwork):
         self.network = network
+        # boolean adjacency: products over it are "any treated neighbour"
+        self._any_neighbor = network.adjacency.astype(bool)
 
     def __call__(self, z) -> np.ndarray:
         z = _check_binary_assignment(self.network, z)
-        treated_neighbor = self.network.adjacency @ z > 0
-        return np.where(z == 1, 2, np.where(treated_neighbor, 1, 0))
+        return self.batch(z[None, :])[0]
 
     def batch(self, Z: np.ndarray) -> np.ndarray:
-        """Exposures for a stack of assignments, one row per assignment."""
-        Z = np.asarray(Z)
-        treated_neighbor = (self.network.adjacency @ Z.T).T > 0
-        return np.where(Z == 1, 2, np.where(treated_neighbor, 1, 0))
+        """Exposures for a stack of assignments, one row per assignment.
+
+        The adjacency is symmetric, so row i of ``Z @ A`` flags the units
+        with a treated neighbour under assignment i.
+        """
+        treated = np.asarray(Z) == 1
+        exposed = treated @ self._any_neighbor
+        return np.maximum(
+            treated.view(np.int8) * np.int8(2), exposed.view(np.int8), order="C"
+        )
 
 
 class TwoRoundExposure:

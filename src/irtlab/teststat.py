@@ -87,17 +87,16 @@ def focal_sets(exposures, a, b) -> FocalSets:
 def diff_in_means(exposures, theta, a, b):
     """|mean(theta over b-group) - mean(theta over a-group)|.
 
-    Returns None when either group is empty.
+    Returns None when either group is empty. This is row 0 of
+    :func:`batch_diff_in_means` on a one-row batch, so it equals that
+    function's value on any batch holding the same row, bit for bit.
     """
     exposures = _check_labels(exposures, a, b)
     theta = np.asarray(theta, dtype=float)
     if len(theta) != len(exposures):
         raise LengthMismatchError("theta length != exposure length")
-    mask_a = exposures == a
-    mask_b = exposures == b
-    if not mask_a.any() or not mask_b.any():
-        return None
-    return abs(float(theta[mask_b].mean()) - float(theta[mask_a].mean()))
+    t = batch_diff_in_means(exposures[None, :], theta, a, b)[0]
+    return None if np.isnan(t) else float(t)
 
 
 def batch_diff_in_means(E, Theta, a, b) -> np.ndarray:
@@ -105,14 +104,17 @@ def batch_diff_in_means(E, Theta, a, b) -> np.ndarray:
 
     ``E`` is a (k, n) exposure matrix and ``Theta`` either a (k, n) matrix
     (one nuisance vector per row) or a single length-n vector broadcast to
-    all rows. Undefined entries come back as NaN.
+    all rows. Undefined entries come back as NaN. Row i of the result
+    depends only on row i of the inputs, bit for bit.
     """
-    E = np.asarray(E)
-    Theta = np.atleast_2d(np.asarray(Theta, dtype=float))
+    # C order keeps each row's sum NumPy's pairwise sum along that row, so
+    # no BLAS product (whose blocking depends on the shape) is involved
+    E = np.ascontiguousarray(E)
+    Theta = np.ascontiguousarray(np.atleast_2d(Theta), dtype=float)
     mask_a = E == a
     mask_b = E == b
-    n_a = mask_a.sum(axis=1)
-    n_b = mask_b.sum(axis=1)
+    n_a = np.count_nonzero(mask_a, axis=1)
+    n_b = np.count_nonzero(mask_b, axis=1)
     sum_a = np.where(mask_a, Theta, 0.0).sum(axis=1)
     sum_b = np.where(mask_b, Theta, 0.0).sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -119,6 +119,15 @@ class TestTestCommand:
         config_path = write_fixture(tmp_path, contrast=(0, 9))
         assert main(["test", "--config", str(config_path)]) == 2
 
+    def test_invalid_bernoulli_probability_exit_2(self, tmp_path, capsys):
+        config_path = write_fixture(tmp_path)
+        config = json.loads(config_path.read_text())
+        config["design"] = {"kind": "bernoulli", "p": 1.5}
+        config_path.write_text(json.dumps(config))
+        assert main(["test", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "1.5" in err and "Traceback" not in err
+
     def test_budget_error_exit_3(self, tmp_path):
         # a Bernoulli(1) design always treats everyone: every resampled
         # assignment leaves one focal group empty

@@ -1,13 +1,29 @@
 """Design sampler and exact enumeration tests."""
 
+import itertools
+import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from irtlab import BernoulliDesign, CompleteDesign, TwoStageDesign, sample_two_stage
+from irtlab import (
+    BernoulliDesign,
+    CompleteDesign,
+    TwoStageDesign,
+    designs,
+    sample_two_stage,
+)
 from irtlab.designs import design_from_spec
-from irtlab.errors import SupportTooLargeError, TooFewClustersError
+from irtlab.errors import (
+    InvalidDesignError,
+    SupportTooLargeError,
+    TooFewClustersError,
+    ValidationError,
+)
 
 
 class TestBernoulliDesign:
@@ -42,6 +58,13 @@ class TestBernoulliDesign:
         with pytest.raises(ValueError):
             BernoulliDesign(2, 1.5)
 
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    def test_invalid_probability_is_validation_error(self, p):
+        with pytest.raises(InvalidDesignError) as info:
+            BernoulliDesign(2, p)
+        assert isinstance(info.value, ValidationError)
+        assert isinstance(info.value, ValueError)
+
 
 class TestCompleteDesign:
     def test_fixed_treated_count(self):
@@ -60,6 +83,11 @@ class TestCompleteDesign:
     def test_invalid_m(self):
         with pytest.raises(ValueError):
             CompleteDesign(3, 4)
+
+    @pytest.mark.parametrize("m", [-1, 4])
+    def test_invalid_m_is_validation_error(self, m):
+        with pytest.raises(InvalidDesignError):
+            CompleteDesign(3, m)
 
 
 class TestTwoStageDesign:
@@ -134,6 +162,94 @@ class TestEnumerationFrequencies:
         with pytest.raises(SupportTooLargeError):
             BernoulliDesign(30, 0.5).enumerate_support(cap=1000)
 
+    def test_cap_check_is_fast_for_many_clusters(self):
+        # C(75, 37) subsets: the support size must come from the
+        # recurrence, not from walking the subsets
+        design = TwoStageDesign(np.repeat(np.arange(75), 2))
+        start = time.perf_counter()
+        with pytest.raises(SupportTooLargeError):
+            design.enumerate_support()
+        assert time.perf_counter() - start < 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(hst.lists(hst.integers(min_value=1, max_value=4), min_size=2, max_size=9))
+    def test_support_size_matches_brute_force(self, sizes):
+        design = TwoStageDesign(np.repeat(np.arange(len(sizes)), sizes))
+        m = len(sizes) // 2
+        brute = sum(
+            math.prod(sizes[c] for c in subset)
+            for subset in itertools.combinations(range(len(sizes)), m)
+        )
+        assert design.support_size() == brute
+
+
+def reference_support(design):
+    """Support of a design enumerated one assignment at a time."""
+    n = design.n
+    if isinstance(design, BernoulliDesign):
+        p = Fraction(design.p)
+        if p in (0, 1):
+            return [([int(p)] * n, Fraction(1))]
+        return [
+            (list(bits), p ** sum(bits) * (1 - p) ** (n - sum(bits)))
+            for bits in itertools.product((0, 1), repeat=n)
+        ]
+    if isinstance(design, CompleteDesign):
+        prob = Fraction(1, math.comb(n, design.m))
+        return [
+            ([int(i in treated) for i in range(n)], prob)
+            for treated in itertools.combinations(range(n), design.m)
+        ]
+    out = []
+    m = design.n_treated_clusters
+    for subset in itertools.combinations(range(design.n_clusters), m):
+        prob = Fraction(1, math.comb(design.n_clusters, m))
+        for c in subset:
+            prob /= len(design.members[c])
+        for units in itertools.product(*(design.members[c] for c in subset)):
+            out.append(([int(i in units) for i in range(n)], prob))
+    return out
+
+
+class TestSupportBlocks:
+    DESIGNS = {
+        "bernoulli": BernoulliDesign(5, 0.3),
+        "bernoulli_p0": BernoulliDesign(3, 0.0),
+        "bernoulli_p1": BernoulliDesign(3, 1.0),
+        "complete": CompleteDesign(6, 2),
+        "complete_m0": CompleteDesign(4, 0),
+        "two_stage_unequal": TwoStageDesign([0, 0, 1, 1, 1, 2, 3, 3, 4]),
+    }
+
+    @pytest.mark.parametrize("name", DESIGNS)
+    @pytest.mark.parametrize("block_rows", [None, 1, 4])
+    def test_enumeration_matches_reference(self, name, block_rows, monkeypatch):
+        design = self.DESIGNS[name]
+        if block_rows is not None:
+            monkeypatch.setattr(designs, "BLOCK_CELLS", block_rows * design.n)
+        probs, blocks = design.support_blocks()
+        rows = [
+            (z.tolist(), probs[c])
+            for Z, cls in blocks
+            for z, c in zip(Z, cls.tolist())
+        ]
+        assert rows == reference_support(design)
+        listed = [(z.tolist(), p) for z, p in design.enumerate_support()]
+        assert listed == rows
+
+    @pytest.mark.parametrize("name", DESIGNS)
+    def test_blocks_respect_block_cells(self, name, monkeypatch):
+        design = self.DESIGNS[name]
+        monkeypatch.setattr(designs, "BLOCK_CELLS", 3 * design.n + 2)
+        _, blocks = design.support_blocks()
+        for Z, cls in blocks:
+            assert 1 <= len(Z) <= 3 and len(cls) == len(Z)
+            assert Z.dtype == np.int8
+
+    def test_cap_checked_before_enumerating(self):
+        with pytest.raises(SupportTooLargeError):
+            TwoStageDesign([0, 0, 1, 1, 2, 2]).support_blocks(cap=5)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -165,3 +281,5 @@ class TestDesignFromSpec:
         assert isinstance(d, TwoStageDesign)
         with pytest.raises(ValueError):
             design_from_spec({"kind": "adaptive"}, n=3)
+        with pytest.raises(InvalidDesignError):
+            design_from_spec({"kind": "bernoulli", "p": 2.0}, n=3)

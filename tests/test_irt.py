@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from irtlab import (
     BernoulliDesign,
@@ -26,8 +28,57 @@ from irtlab.errors import (
     UndefinedObservedStatisticError,
     UnknownLabelError,
 )
+from irtlab import designs
 from irtlab.imputation import PointMass
 from irtlab.irt import exact_frt_pvalue_fraction
+from irtlab.teststat import diff_in_means
+
+
+def reference_exact_pvalue(design, emap, a, b, theta, z_obs, undefined="renormalize"):
+    """Exact p-value by the per-assignment loop: one exposure call, one
+    scalar statistic and Fraction additions per support point."""
+    t_obs = diff_in_means(emap(z_obs), theta, a, b)
+    if t_obs is None:
+        raise UndefinedObservedStatisticError("undefined at z_obs")
+    extreme = defined = undefined_mass = Fraction(0)
+    for z, prob in design.enumerate_support():
+        t = diff_in_means(emap(z), theta, a, b)
+        if t is None:
+            undefined_mass += prob
+            continue
+        defined += prob
+        if t >= t_obs:
+            extreme += prob
+    if undefined == "extreme":
+        return extreme + undefined_mass
+    if defined == 0:
+        raise UndefinedObservedStatisticError("undefined on the whole support")
+    return extreme / defined
+
+
+@hst.composite
+def exact_instances(draw):
+    """A random small graph, a design on it, a contrast, a nuisance vector
+    with ties and an observed assignment from the design's support."""
+    kind = draw(hst.sampled_from(["bernoulli", "complete", "two_stage"]))
+    if kind == "two_stage":
+        sizes = draw(hst.lists(hst.integers(1, 3), min_size=2, max_size=4))
+        n = sum(sizes)
+        design = TwoStageDesign(np.repeat(np.arange(len(sizes)), sizes))
+    else:
+        n = draw(hst.integers(2, 7))
+        if kind == "bernoulli":
+            design = BernoulliDesign(n, draw(hst.sampled_from([0.0, 1.0, 0.5, 0.3])))
+        else:
+            design = CompleteDesign(n, draw(hst.integers(0, n)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(hst.lists(hst.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    emap = ThreeLevelExposure(build_network(n, edges))
+    a, b = draw(hst.permutations([0, 1, 2]))[:2]
+    theta = draw(hst.lists(hst.sampled_from([-1.5, 0.0, 0.25, 2.0]), min_size=n, max_size=n))
+    support = design.enumerate_support()
+    z_obs = support[draw(hst.integers(0, len(support) - 1))][0]
+    return design, emap, a, b, np.array(theta), z_obs
 
 
 def small_instance():
@@ -138,6 +189,49 @@ class TestExactFrt:
         for alpha, _ in pvals:
             mass = sum(prob for p, prob in pvals if p <= alpha)
             assert mass <= alpha
+
+
+class TestExactEngine:
+    @staticmethod
+    def outcome(fn, *args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except UndefinedObservedStatisticError:
+            return "undefined"
+
+    @settings(max_examples=150, deadline=None)
+    @given(exact_instances(), hst.sampled_from(["renormalize", "extreme"]))
+    def test_matches_per_assignment_reference(self, instance, policy):
+        design, emap, a, b, theta, z_obs = instance
+        expected = self.outcome(
+            reference_exact_pvalue, design, emap, a, b, theta, z_obs, policy
+        )
+        got = self.outcome(
+            exact_frt_pvalue_fraction, design, emap, a, b, theta, z_obs, policy
+        )
+        assert got == expected
+        if got != "undefined":
+            assert isinstance(got, Fraction)
+
+    @pytest.mark.parametrize("block_cells", [9, 18, 63, 180])
+    def test_blocks_smaller_than_support_give_identical_fraction(
+        self, block_cells, monkeypatch
+    ):
+        memberships = [0, 0, 0, 1, 1, 2, 2, 2, 3]
+        design = TwoStageDesign(memberships)
+        emap = ThreeLevelExposure(cluster_network(memberships))
+        rng = np.random.default_rng(4)
+        theta = rng.standard_normal(9)
+        z_obs = design.sample(rng)
+        whole = exact_frt_pvalue_fraction(design, emap, 0, 1, theta, z_obs)
+        # 9 units: at most 1, 2, 7 and 20 of the 29 assignments per block,
+        # and a cluster subset has at most 9
+        monkeypatch.setattr(designs, "BLOCK_CELLS", block_cells)
+        _, blocks = design.support_blocks()
+        assert max(len(Z) for Z, _ in blocks) == min(block_cells // 9, 9)
+        chunked = exact_frt_pvalue_fraction(design, emap, 0, 1, theta, z_obs)
+        assert chunked == whole
+        assert chunked == reference_exact_pvalue(design, emap, 0, 1, theta, z_obs)
 
 
 class TestIrtPvalue:

@@ -120,6 +120,40 @@ class TestThreeLevelExposure:
         for row, z in zip(batch, Z):
             assert row.tolist() == emap(z).tolist()
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        hst.integers(min_value=2, max_value=12).flatmap(
+            lambda n: hst.tuples(
+                hst.just(n),
+                hst.lists(
+                    hst.tuples(hst.integers(0, n - 1), hst.integers(1, n - 1)).map(
+                        lambda e: (e[0], (e[0] + e[1]) % n)
+                    ),
+                    max_size=3 * n,
+                ),
+                hst.lists(
+                    hst.lists(hst.integers(0, 1), min_size=n, max_size=n),
+                    min_size=1,
+                    max_size=8,
+                ),
+            )
+        )
+    )
+    def test_batch_equals_per_row_call(self, case):
+        n, edges, rows = case
+        emap = ThreeLevelExposure(build_network(n, edges))
+        Z = np.array(rows, dtype=np.int8)
+        batch = emap.batch(Z)
+        assert batch.shape == Z.shape
+        for row, z in zip(batch, Z):
+            assert np.array_equal(row, emap(z))
+            # reference: the definition, unit by unit
+            expected = [
+                2 if z[i] else int(any(z[j] for j in emap.network.neighbors[i]))
+                for i in range(n)
+            ]
+            assert row.tolist() == expected
+
     @settings(max_examples=50, deadline=None)
     @given(hst.integers(min_value=0, max_value=2**10 - 1), hst.randoms())
     def test_deterministic_and_equivariant(self, bits, pyrandom):

@@ -122,6 +122,47 @@ class TestBatchDiffInMeans:
         t = batch_diff_in_means(E, np.ones(3), 0, 1)
         assert np.isnan(t[0]) and t[1] == 0.0
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        hst.integers(min_value=1, max_value=6),
+        hst.integers(min_value=1, max_value=300),
+        hst.booleans(),
+        hst.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_rows_are_bit_identical_to_one_row_calls(self, k, n, per_row, seed):
+        # criterion 1's exact ties need a row's statistic not to depend on
+        # the rows batched with it
+        rng = np.random.default_rng(seed)
+        E = rng.integers(0, 3, size=(k, n)).astype(np.int8)
+        Theta = rng.standard_normal((k, n) if per_row else n) * 10.0 ** rng.integers(-3, 4)
+        t = batch_diff_in_means(E, Theta, 0, 1)
+        for i in range(k):
+            row = Theta[i] if per_row else Theta
+            one = batch_diff_in_means(E[i : i + 1], row, 0, 1)
+            assert np.array_equal(t[i : i + 1], one, equal_nan=True)
+            scalar = diff_in_means(E[i], row, 0, 1)
+            assert (scalar is None) if np.isnan(t[i]) else scalar == t[i]
+
+    def test_matches_masked_sum_formula_with_non_finite_theta(self):
+        # units outside both groups never reach the statistic, even when
+        # their nuisance value is NaN or infinite
+        rng = np.random.default_rng(7)
+        E = rng.integers(0, 3, size=(40, 12))
+        Theta = rng.standard_normal((40, 12))
+        Theta[rng.random((40, 12)) < 0.1] = np.nan
+        Theta[rng.random((40, 12)) < 0.05] = -np.inf
+        mask_a, mask_b = E == 0, E == 1
+        n_a, n_b = mask_a.sum(axis=1), mask_b.sum(axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            expected = np.abs(
+                np.where(mask_b, Theta, 0.0).sum(axis=1) / n_b
+                - np.where(mask_a, Theta, 0.0).sum(axis=1) / n_a
+            )
+        expected[(n_a == 0) | (n_b == 0)] = np.nan
+        got = batch_diff_in_means(E, Theta, 0, 1)
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.isfinite(got).any() and np.isnan(got).any()
+
 
 class TestObservedTheta:
     def test_mask(self):
